@@ -69,13 +69,15 @@ check-timeline:
 	$(GO) test -race -count=1 ./internal/timeline ./cmd/lfrctop
 	$(GO) test -race -count=1 -run 'TestTimeline' .
 
-# Heap-census gate: the graph/SCC unit suite, the cycle-leak acceptance
-# scenario on both reclamation backends, and censuses taken while mutator
-# goroutines run — all under the race detector, which is what proves the
-# census's read-only snapshot loads never race the engines.
+# Heap-census gate: the graph/SCC unit suite with its audit and backup-
+# collector passes, the cycle-leak acceptance scenario on both reclamation
+# backends, the facade's Audit and Collect (limbo sparing, poisoned counts,
+# uncapped violations), and censuses taken while mutator goroutines run —
+# all under the race detector, which is what proves the census's read-only
+# snapshot loads never race the engines.
 check-census:
 	$(GO) test -race -count=1 ./internal/census ./internal/pprofenc
-	$(GO) test -race -count=1 -run 'TestCensus|TestDebugMux' .
+	$(GO) test -race -count=1 -run 'TestCensus|TestDebugMux|TestAudit|TestCollect' .
 
 build:
 	$(GO) build ./...

@@ -45,9 +45,7 @@ func readBundle(t *testing.T, data []byte) map[string][]byte {
 func bundleSystem(t *testing.T) *lfrc.System {
 	t.Helper()
 	sys, err := lfrc.New(
-		lfrc.WithContention(true),
-		lfrc.WithTraceSampling(4),
-		lfrc.WithLifecycleLedger(1),
+		lfrc.WithObservability(lfrc.ObservabilityOptions{SampleEvery: 4, Contention: true, LifecycleEvery: 1}),
 		lfrc.WithFaultPlan("core.load:nth=1000000000"),
 		lfrc.WithTimeline(lfrc.TimelineOptions{Manual: true}),
 	)
@@ -169,8 +167,7 @@ func TestBundleDeterminism(t *testing.T) {
 // must be race-clean and structurally sound (run under -race by make check).
 func TestBundleWhileMutating(t *testing.T) {
 	sys, err := lfrc.New(
-		lfrc.WithContention(true),
-		lfrc.WithTraceSampling(16),
+		lfrc.WithObservability(lfrc.ObservabilityOptions{SampleEvery: 16, Contention: true}),
 		lfrc.WithTimeline(lfrc.TimelineOptions{Interval: 2 * time.Millisecond}),
 	)
 	if err != nil {

@@ -2,6 +2,7 @@ package lfrc
 
 import (
 	"io"
+	"sync"
 
 	"lfrc/internal/census"
 	"lfrc/internal/mem"
@@ -24,12 +25,14 @@ type CensusCycle = census.Cycle
 // CensusRoot is one declared reachability root in a census.
 type CensusRoot = census.Root
 
-// WithCensusRoots registers an extra root source for the heap census: fn is
+// WithCensusRoots registers an extra root source for the heap census — and
+// so for Audit and Collect, which read the census's one root set: fn is
 // called at snapshot time and returns additional object refs to treat as
-// reachability roots, beyond the collection anchors every open structure
-// registers automatically. Use it when application code holds counted
-// references in Go-side variables the census cannot see — without declaring
-// them, their subgraphs would be misreported as leaks. The option may be
+// reachability roots (one count unit each), beyond the collection anchors
+// every open structure registers automatically. Use it when application
+// code holds counted references in Go-side variables the census cannot see
+// — without declaring them, their subgraphs would be misreported as leaks,
+// miscounted by Audit, and freed by Collect. The option may be
 // given multiple times; nil refs (0) are ignored.
 func WithCensusRoots(fn func() []uint32) Option {
 	return optionFunc(func(c *config) {
@@ -54,14 +57,58 @@ func WithCensusRoots(fn func() []uint32) Option {
 //
 // The most recent snapshot is also what the lfrc_census_* metrics report.
 func (s *System) Census() *CensusSnapshot {
-	roots := map[uint32]census.Root{}
-	for r, nr := range s.collector.NamedRoots() {
-		name := nr.Name
-		if name == "" {
-			name = "root"
-		}
-		roots[uint32(r)] = census.Root{Ref: uint32(r), Name: name, Count: nr.Count}
+	snap := census.Take(s.censusConfig())
+	s.lastCensus.Store(snap)
+	return snap
+}
+
+// rootSet registers every open structure's anchor, labeled with its kind so
+// the census and DOT export can say which structure keeps a subgraph alive.
+// A ref may be registered more than once; each registration is one count
+// unit an external handle holds.
+type rootSet struct {
+	mu sync.Mutex
+	m  map[uint32]census.Root
+}
+
+func (rs *rootSet) add(r mem.Ref, kind string) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if rs.m == nil {
+		rs.m = make(map[uint32]census.Root)
 	}
+	e := rs.m[uint32(r)]
+	if e.Ref == 0 {
+		e = census.Root{Ref: uint32(r), Name: kind}
+	}
+	e.Count++
+	rs.m[uint32(r)] = e
+}
+
+func (rs *rootSet) remove(r mem.Ref) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	e, ok := rs.m[uint32(r)]
+	switch {
+	case !ok:
+	case e.Count <= 1:
+		delete(rs.m, uint32(r))
+	default:
+		e.Count--
+		rs.m[uint32(r)] = e
+	}
+}
+
+// censusConfig assembles the census of this system over its one root set —
+// the registered structure anchors plus the WithCensusRoots sources — which
+// Census, Audit and Collect all read.
+func (s *System) censusConfig() census.Config {
+	s.roots.mu.Lock()
+	roots := make(map[uint32]census.Root, len(s.roots.m))
+	for ref, r := range s.roots.m {
+		roots[ref] = r
+	}
+	s.roots.mu.Unlock()
 	for _, fn := range s.censusRoots {
 		for _, ref := range fn() {
 			if ref == 0 || !s.heap.InArena(mem.Ref(ref)) {
@@ -75,15 +122,13 @@ func (s *System) Census() *CensusSnapshot {
 			roots[ref] = r
 		}
 	}
-	snap := census.Take(census.Config{
+	return census.Config{
 		Heap:    s.heap,
 		Read:    s.rc.SnapshotRead,
 		Decode:  s.rc.DecodeLink,
 		Roots:   roots,
 		Backend: s.ReclaimerName(),
-	})
-	s.lastCensus.Store(snap)
-	return snap
+	}
 }
 
 // CensusDiff returns to - from: per-type growth and new cycles between two

@@ -284,3 +284,131 @@ func TestWriteCensusProfileCapture(t *testing.T) {
 		t.Fatalf("WriteCensusProfile: %v", err)
 	}
 }
+
+// TestCollectSparesEpochLimbo: on an epoch system popped nodes wait in limbo
+// as count-zero husks. The backup collector must leave them to the backend;
+// when it freed them, the later drain freed them again.
+func TestCollectSparesEpochLimbo(t *testing.T) {
+	sys, err := New(WithReclamation(ReclaimerEpoch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	d, err := sys.NewDeque()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := d.PushRight(Value(i)); err != nil {
+			t.Fatal(err)
+		}
+		d.PopLeft()
+	}
+	if sys.ZombieCount() == 0 {
+		t.Fatal("precondition: nothing in limbo")
+	}
+	if res := sys.Collect(); res.Freed != 0 {
+		t.Errorf("Collect freed %d limbo husks, want 0", res.Freed)
+	}
+	sys.DrainZombies(0)
+	if hs := sys.Stats().Heap; hs.DoubleFrees != 0 {
+		t.Errorf("DoubleFrees = %d after Collect + DrainZombies, want 0", hs.DoubleFrees)
+	}
+	d.Close()
+	sys.DrainZombies(0)
+	if live := sys.Stats().Heap.LiveObjects; live != 0 {
+		t.Errorf("LiveObjects = %d after Close, want 0", live)
+	}
+}
+
+// TestCollectHonorsCensusRoots: Collect reads the same root set as Census
+// and Audit, so a Go-held object declared with WithCensusRoots survives.
+func TestCollectHonorsCensusRoots(t *testing.T) {
+	var held []uint32
+	sys, err := New(WithCensusRoots(func() []uint32 { return held }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := buildCycle(t, sys)
+	var ref mem.Ref
+	sys.rc.Copy(&ref, a) // take a Go-side reference to a, and declare it
+	held = []uint32{uint32(ref)}
+	if vs := sys.Audit(); len(vs) != 0 {
+		t.Fatalf("Audit = %v, want none", vs)
+	}
+	if res := sys.Collect(); res.Freed != 0 {
+		t.Errorf("Collect freed %d objects held through WithCensusRoots", res.Freed)
+	}
+	held = nil
+	sys.rc.Destroy(ref)
+	if res := sys.Collect(); res.Freed != 2 || !sys.heap.IsFreed(b) {
+		t.Errorf("Collect = %+v once undeclared, want the 2-cycle freed", res)
+	}
+}
+
+// TestAuditReportsPoisonedCount: at quiescence a live object whose count
+// cell holds poison is corruption. The census skips it only when the block
+// turns out to have been freed under a concurrent walk.
+func TestAuditReportsPoisonedCount(t *testing.T) {
+	sys, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := sys.NewDeque()
+	if err != nil {
+		t.Fatal(err)
+	}
+	anchor := d.d.Anchor()
+	rc := sys.heap.RCAddr(anchor)
+	good := sys.heap.Load(rc)
+	sys.heap.Store(rc, mem.Poison)
+	vs := sys.Audit()
+	if len(vs) != 1 || !strings.Contains(vs[0], strconv.FormatUint(mem.Poison, 10)) {
+		t.Errorf("Audit = %v, want the poisoned anchor count", vs)
+	}
+	sys.heap.Store(rc, good)
+	if vs := sys.Audit(); len(vs) != 0 {
+		t.Errorf("Audit after repair = %v", vs)
+	}
+	d.Close()
+}
+
+// TestAuditReturnsEveryViolation: Audit is the census's mismatch set
+// uncapped; the census's 64-entry list cap must not hide violations.
+func TestAuditReturnsEveryViolation(t *testing.T) {
+	sys, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tid, err := sys.heap.RegisterType(mem.TypeDesc{Name: "stray", NumFields: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 100
+	for i := 0; i < n; i++ {
+		// Counted, but nothing points at it and no root declares it.
+		if _, err := sys.rc.NewObject(tid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if vs := sys.Audit(); len(vs) != n {
+		t.Errorf("Audit returned %d violations, want %d", len(vs), n)
+	}
+}
+
+// TestCensusRootSetCounts: each registration of an anchor is one count unit
+// and one RemoveRoot; the root goes only with its last registration.
+func TestCensusRootSetCounts(t *testing.T) {
+	var rs rootSet
+	rs.add(40, "deque")
+	rs.add(40, "")
+	rs.remove(40)
+	if r := rs.m[40]; r.Count != 1 || r.Name != "deque" {
+		t.Errorf("after add, add, remove: %+v, want count 1 named deque", r)
+	}
+	rs.remove(40)
+	rs.remove(40) // unbalanced removes are ignored
+	if _, ok := rs.m[40]; ok {
+		t.Error("root survived its last remove")
+	}
+}

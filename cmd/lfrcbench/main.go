@@ -31,6 +31,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,6 +39,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -61,8 +63,24 @@ func main() {
 	}()
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "lfrcbench:", err)
-		os.Exit(1)
+		os.Exit(exitCode(err))
 	}
+}
+
+// usageError marks a command-line mistake: it exits 2, other failures 1.
+type usageError struct{ error }
+
+func exitCode(err error) int {
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
+}
+
+// experiments lists every -run id, in the order run executes them.
+var experiments = []string{
+	"E1", "E2", "E3", "E4", "E7", "E8", "E9", "A2", "L1", "G1", "R2",
+	"O1", "O2", "O3", "O4", "O5", "O6", "E5", "E6", "A1", "A3", "R3",
 }
 
 // writeSignalBundle dumps the published system's bundle to an auto-named file
@@ -129,6 +147,18 @@ func run(args []string, stdout io.Writer) error {
 	}
 	sc := workload.Scale(*scale)
 
+	wanted := map[string]bool{}
+	if *runList != "" {
+		for _, id := range strings.Split(*runList, ",") {
+			id = strings.ToUpper(strings.TrimSpace(id))
+			if !slices.Contains(experiments, id) {
+				return usageError{fmt.Errorf("-run: unknown experiment %q (want one of %s)",
+					id, strings.Join(experiments, ","))}
+			}
+			wanted[id] = true
+		}
+	}
+
 	if *metrics != "" {
 		ln, err := net.Listen("tcp", *metrics)
 		if err != nil {
@@ -144,12 +174,6 @@ func run(args []string, stdout io.Writer) error {
 		}()
 	}
 
-	wanted := map[string]bool{}
-	if *runList != "" {
-		for _, id := range strings.Split(*runList, ",") {
-			wanted[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
-	}
 	// -bench-json and -fault-plan each replace the experiment tables with
 	// their own harness; the tail flags (-metrics, -stats-json, -trace) still
 	// apply to the system the harness publishes.

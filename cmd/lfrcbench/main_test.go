@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -338,5 +339,24 @@ func TestTraceFlagWithoutPublishingExperimentErrors(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.json")
 	if err := run([]string{"-run", "E7", "-scale", "1", "-trace", path}, io.Discard); err == nil {
 		t.Error("run accepted -trace with no publishing experiment")
+	}
+}
+
+// TestRunRejectsUnknownExperiment: a -run id no experiment answers to is a
+// usage error (exit 2), not a silent run of nothing.
+func TestRunRejectsUnknownExperiment(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-run", "E1,NOPE"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `"NOPE"`) {
+		t.Fatalf("run(-run E1,NOPE) = %v, want an error naming NOPE", err)
+	}
+	if got := exitCode(err); got != 2 {
+		t.Errorf("exit code = %d, want 2", got)
+	}
+	if out.Len() != 0 {
+		t.Errorf("ran something before rejecting the id:\n%s", out.String())
+	}
+	if got := exitCode(errors.New("runtime failure")); got != 1 {
+		t.Errorf("exit code for a runtime failure = %d, want 1", got)
 	}
 }

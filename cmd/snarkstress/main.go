@@ -26,7 +26,7 @@ import (
 	"time"
 
 	"lfrc"
-	"lfrc/internal/check"
+	"lfrc/internal/census"
 	"lfrc/internal/core"
 	"lfrc/internal/mem"
 	"lfrc/internal/reclaim"
@@ -241,12 +241,15 @@ func soak(st string, o options) error {
 
 		// ...then a quiescent audit.
 		audits++
-		extra := map[mem.Ref]int64{structure.anchor(): 1}
-		if vs := check.AuditRCDecoded(env.Heap, extra, env.RC.DecodeLink); len(vs) != 0 {
-			return fmt.Errorf("audit %d: %d rc violations, first: %s", audits, len(vs), vs[0])
+		snap := census.Take(env.CensusConfig(structure.anchor()))
+		if snap.RCMismatchCount != 0 {
+			m := snap.RCMismatches[0]
+			return fmt.Errorf("audit %d: %d rc violations, first: %#x (%s) want %d, got %d",
+				audits, snap.RCMismatchCount, m.Ref, m.Type, m.Expected, m.Stored)
 		}
-		if vs := check.ScanPoison(env.Heap); len(vs) != 0 {
-			return fmt.Errorf("audit %d: %d poison violations, first: %s", audits, len(vs), vs[0])
+		if ds := env.Heap.ScanPoison(); len(ds) != 0 {
+			return fmt.Errorf("audit %d: %d poison violations, first: %#x at offset %d",
+				audits, len(ds), ds[0].Ref, ds[0].Offset)
 		}
 		hs := env.Heap.Stats()
 		if hs.Corruptions != 0 || hs.DoubleFrees != 0 {
@@ -269,16 +272,15 @@ func soak(st string, o options) error {
 		return fmt.Errorf("conservation: pushed %d, recovered %d", pushed.Load(), got)
 	}
 	// A census before teardown shows what the structure held.
-	for _, c := range check.Census(env.Heap) {
-		fmt.Printf("  census: %-16s live=%-6d freed-slots=%-6d live-words=%d\n",
-			c.Name, c.Live, c.Freed, c.LiveWords)
+	for _, ts := range census.Take(env.CensusConfig(structure.anchor())).Types {
+		fmt.Printf("  census: %-16s live=%-6d live-bytes=%d\n", ts.Name, ts.Objects, ts.Bytes)
 	}
 	structure.close()
 	// The epoch backend holds freed-at-count-zero objects in limbo; finish
 	// its deferred work before demanding an empty heap.
 	env.RC.DrainZombies(0)
-	if leaks := check.Leaks(env.Heap); len(leaks) != 0 {
-		return fmt.Errorf("%d objects leaked after close", len(leaks))
+	if n := env.Heap.Stats().LiveObjects; n != 0 {
+		return fmt.Errorf("%d objects leaked after close", n)
 	}
 	fmt.Printf("  done: %d ops, %d values pushed and fully recovered, zero leaks\n",
 		totalOps.Load(), pushed.Load())

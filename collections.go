@@ -11,8 +11,9 @@ import (
 )
 
 // handle is the lifecycle state embedded in every structure wrapper: it
-// registers the structure's anchor as a tracing-collector root at creation
-// and deregisters it on the first Close.
+// registers the structure's anchor as a root — of the census, Audit and the
+// backup collector alike — at creation and deregisters it on the first
+// Close.
 type handle struct {
 	sys    *System
 	anchor mem.Ref
@@ -20,13 +21,13 @@ type handle struct {
 	drain  func()
 }
 
-// newHandle roots anchor with the collector — labeled with the structure
-// kind, so the heap census and DOT export can say *which* structure keeps a
-// subgraph alive — and returns the handle that will unroot it; drain is the
+// newHandle roots anchor — labeled with the structure kind, so the heap
+// census and DOT export can say *which* structure keeps a subgraph alive —
+// and returns the handle that will unroot it; drain is the
 // structure's own teardown, run once by Close.
 func (s *System) newHandle(anchor mem.Ref, kind string, drain func()) handle {
 	if anchor != 0 {
-		s.collector.AddNamedRoot(anchor, kind)
+		s.roots.add(anchor, kind)
 	}
 	return handle{sys: s, anchor: anchor, drain: drain}
 }
@@ -40,7 +41,7 @@ func (h *handle) Close() {
 		return
 	}
 	if h.anchor != 0 {
-		h.sys.collector.RemoveRoot(h.anchor)
+		h.sys.roots.remove(h.anchor)
 	}
 	h.drain()
 }

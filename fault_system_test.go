@@ -121,7 +121,7 @@ func TestFaultChaosSweep(t *testing.T) {
 				lfrc.WithFaultPlan(plan),
 				lfrc.WithFaultSeed(seed),
 				lfrc.WithHeapPressurePolicy(lfrc.DefaultHeapPressurePolicy()),
-				lfrc.WithLifecycleLedger(1),
+				lfrc.WithObservability(lfrc.ObservabilityOptions{LifecycleEvery: 1}),
 			)
 			if err != nil {
 				t.Fatal(err)

@@ -17,7 +17,12 @@
 //     quiescent Audit,
 //   - per-type retained-size attribution.
 //
-// The census is strictly read-only: every cell access is a plain atomic load
+// The census is the one definition of "reachable", "limbo" and "miscounted"
+// in this module: the facade's quiescent Audit is its mismatch set, and
+// Collect — the paper's §7 backup tracing collector — frees its unreachable
+// class.
+//
+// Take is strictly read-only: every cell access is a plain atomic load
 // (never an engine read, which would help — i.e. mutate — in-flight MCAS
 // operations), it frees nothing and retains nothing. Taken while mutators
 // run it is race-clean and internally consistent per cell, but edges and
@@ -282,17 +287,22 @@ func Take(cfg Config) *Snapshot {
 	return s
 }
 
+// decoder returns cfg.Decode, or the bare-ref reading when it is nil.
+func (cfg Config) decoder() func(uint64) (mem.Ref, int64) {
+	if cfg.Decode != nil {
+		return cfg.Decode
+	}
+	return func(u uint64) (mem.Ref, int64) {
+		if u == 0 {
+			return 0, 0
+		}
+		return mem.Ref(u), 1
+	}
+}
+
 // materialize walks the heap and builds the node table and edge lists.
 func materialize(cfg Config, s *Snapshot) *graph {
-	decode := cfg.Decode
-	if decode == nil {
-		decode = func(u uint64) (mem.Ref, int64) {
-			if u == 0 {
-				return 0, 0
-			}
-			return mem.Ref(u), 1
-		}
-	}
+	decode := cfg.decoder()
 	g := &graph{heap: cfg.Heap, index: make(map[uint32]int32)}
 	cfg.Heap.WalkBlocks(func(b mem.Block) bool {
 		if b.Freed {
@@ -422,13 +432,15 @@ func classify(cfg Config, s *Snapshot, g *graph) {
 
 // findMismatches compares each object's stored count against its weighted
 // in-edge sum (each link contributes its decoded weight — 1 under figure2,
-// the stash under split) plus root registrations. Poisoned counts are
-// skipped: the block was freed between the header read and the rc read,
-// which is a walk race, not a count bug.
+// the stash under split) plus root registrations. A poisoned count on a
+// block that has since been freed or recycled is a walk race (the block was
+// freed between the header read and the rc read) and is skipped; one on a
+// block still live with the count still poisoned — always the case at
+// quiescence — is corruption and counts.
 func findMismatches(cfg Config, s *Snapshot, g *graph) {
 	for i := range g.nodes {
 		n := &g.nodes[i]
-		if n.rc >= mem.Poison {
+		if n.rc >= mem.Poison && !stillPoisoned(cfg, n.ref) {
 			continue
 		}
 		expected := n.inw
@@ -449,6 +461,15 @@ func findMismatches(cfg Config, s *Snapshot, g *graph) {
 			})
 		}
 	}
+}
+
+// stillPoisoned re-reads a block that was live at the header read but whose
+// count read returned poison: true when it is still live and still poisoned.
+// The header is read first: a recycle stores the count before it clears the
+// freed bit, so a live header here means a recycled count is visible.
+func stillPoisoned(cfg Config, ref uint32) bool {
+	r := mem.Ref(ref)
+	return !cfg.Heap.IsFreed(r) && cfg.Read(cfg.Heap.RCAddr(r)) >= mem.Poison
 }
 
 // attributeTypes builds the per-type retained-size table, largest first.

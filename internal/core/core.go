@@ -519,6 +519,12 @@ func (c *RC) ReleaseChildren(p mem.Ref, dst []mem.Ref) []mem.Ref {
 			continue
 		}
 		c.h.Store(c.h.FieldAddr(p, f), 0)
+		if !c.h.InArena(child) {
+			// A stomped link (use-after-free damage, E1's naive load):
+			// count it and drop it rather than decrement a wild cell.
+			c.h.NoteWild(child)
+			continue
+		}
 		// The dying link's whole remaining weight merges back in one update
 		// (weight is always 1 under figure2).
 		w := c.strat.Weight(u)

@@ -335,7 +335,7 @@ func TestCyclicGarbageLeaksByDesign(t *testing.T) {
 	// The paper's Cycle-Free Garbage criterion (§2.1/§3 step 3): reference
 	// counts in a garbage cycle stay non-zero forever, so LFRC alone never
 	// reclaims it. This test pins that documented behaviour; package
-	// gctrace provides the §7 backup collector.
+	// census.Collect provides the §7 backup collector.
 	for name, mk := range worldFactories() {
 		t.Run(name, func(t *testing.T) {
 			w := mk(t)

@@ -3,6 +3,8 @@ package explore
 import (
 	"fmt"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"lfrc/internal/core"
@@ -14,11 +16,82 @@ import (
 // snarkScenario prefills a deque and runs the given operations on separate
 // threads under the controlled scheduler. The check drains the deque and
 // verifies value conservation (each value delivered exactly once across pops
-// and the final drain), plus heap integrity.
+// and the final drain), that no pop reported empty while the deque held a
+// value throughout its call, and heap integrity.
 type dequeOp struct {
 	push  bool
 	left  bool
 	value uint64
+}
+
+// opLog records each operation's invocation and response in the one order
+// the controlled scheduler ran them, for the empty-pop oracle.
+type opLog struct {
+	mu  sync.Mutex
+	seq []int      // op ids; an id's first appearance is its invocation
+	ops []loggedOp // by id
+}
+
+type loggedOp struct {
+	push bool
+	ok   bool // the push succeeded, or the pop returned a value
+}
+
+func (l *opLog) begin(push bool) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	id := len(l.ops)
+	l.ops = append(l.ops, loggedOp{push: push})
+	l.seq = append(l.seq, id)
+	return id
+}
+
+func (l *opLog) end(id int, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.ops[id].ok = ok
+	l.seq = append(l.seq, id)
+}
+
+// spuriousEmpties flags every pop that reported empty although the deque
+// held a value at every instant of its call. Between events the deque holds
+// at least prefill + completed pushes − pops invoked so far that returned a
+// value; a linearizable empty pop must take effect at an instant where that
+// bound is 0, so a bound that stays positive from its invocation to its
+// response convicts it.
+func (l *opLog) spuriousEmpties(prefill int) []string {
+	lower := prefill
+	started := make([]bool, len(l.ops))
+	open := map[int]int{} // empty pop -> least bound seen during its call
+	var problems []string
+	for _, id := range l.seq {
+		op := l.ops[id]
+		switch {
+		case !started[id]:
+			started[id] = true
+			if !op.push && op.ok {
+				lower--
+			}
+			if !op.push && !op.ok {
+				open[id] = lower
+			}
+		case op.push:
+			if op.ok {
+				lower++
+			}
+		case !op.ok:
+			if least := open[id]; least > 0 {
+				problems = append(problems, fmt.Sprintf("pop reported empty while the deque held at least %d value(s)", least))
+			}
+			delete(open, id)
+		}
+		for p, least := range open {
+			if lower < least {
+				open[p] = lower
+			}
+		}
+	}
+	return problems
 }
 
 func snarkScenario(prefill []uint64, ops [][]dequeOp, claiming bool) Scenario {
@@ -42,6 +115,7 @@ func snarkScenario(prefill []uint64, ops [][]dequeOp, claiming bool) Scenario {
 			expected[v]++
 		}
 
+		var log opLog
 		results := make([][]uint64, len(ops))
 		threads := make([]func(), len(ops))
 		for i, script := range ops {
@@ -53,19 +127,22 @@ func snarkScenario(prefill []uint64, ops [][]dequeOp, claiming bool) Scenario {
 			}
 			threads[i] = func() {
 				for _, op := range script {
+					id := log.begin(op.push)
+					ok := true
+					var v uint64
 					switch {
 					case op.push && op.left:
-						_ = d.PushLeft(op.value)
+						ok = d.PushLeft(op.value) == nil
 					case op.push:
-						_ = d.PushRight(op.value)
+						ok = d.PushRight(op.value) == nil
 					case op.left:
-						if v, ok := d.PopLeft(); ok {
-							results[i] = append(results[i], v)
-						}
+						v, ok = d.PopLeft()
 					default:
-						if v, ok := d.PopRight(); ok {
-							results[i] = append(results[i], v)
-						}
+						v, ok = d.PopRight()
+					}
+					log.end(id, ok)
+					if !op.push && ok {
+						results[i] = append(results[i], v)
 					}
 				}
 			}
@@ -85,7 +162,7 @@ func snarkScenario(prefill []uint64, ops [][]dequeOp, claiming bool) Scenario {
 				}
 				got[v]++
 			}
-			var problems []string
+			problems := log.spuriousEmpties(len(prefill))
 			for v, n := range got {
 				if n != expected[v] {
 					problems = append(problems, fmt.Sprintf("value %d delivered %d times (want %d)", v, n, expected[v]))
@@ -143,24 +220,50 @@ func snarkScenarios(claiming bool) map[string]Scenario {
 			[]uint64{1, 2},
 			[][]dequeOp{{popL(), popL()}, {popR()}},
 			claiming),
+		// The stale-hat race: the right pop's hat is popped from the
+		// left while a fourth value arrives.
+		"3elem popR+pushRpopLpopLpopL": snarkScenario(
+			[]uint64{1, 2, 3},
+			[][]dequeOp{{popR()}, {pushR(4), popL(), popL(), popL()}},
+			claiming),
 	}
 }
+
+// snarkExplored runs the bounded DFS over every scenario of both deque
+// variants once per test binary; the tests below judge the same results
+// from different angles.
+var snarkExplored = sync.OnceValue(func() map[bool]map[string]Result {
+	out := map[bool]map[string]Result{}
+	for _, claiming := range []bool{false, true} {
+		out[claiming] = map[string]Result{}
+		for name, s := range snarkScenarios(claiming) {
+			out[claiming][name] = RunDFS(s, 2, 4_000, 100_000)
+		}
+	}
+	return out
+})
 
 // TestSnarkMemorySafetyUnderExploration verifies the LFRC guarantees — no
 // corruption, no double free, no leak — over every explored schedule of
 // every scenario, for both deque variants. Memory safety is the paper's
 // contribution and must hold regardless of the algorithm's value-level
-// races.
+// races. It also rejects any pop that reported empty while the deque held a
+// value, in both variants.
 func TestSnarkMemorySafetyUnderExploration(t *testing.T) {
-	for _, claiming := range []bool{false, true} {
-		for name, s := range snarkScenarios(claiming) {
-			res := RunDFS(s, 2, 4_000, 100_000)
+	for claiming, byName := range snarkExplored() {
+		for name, res := range byName {
 			// Value anomalies are assessed in the test below; here only
 			// heap-integrity problems fail.
 			if res.FirstError != nil {
 				msg := res.FirstError.Error()
 				if containsHeapProblem(msg) {
 					t.Errorf("claiming=%v %q: heap violation: %v (trace %v)",
+						claiming, name, res.FirstError, res.FirstViolation)
+				}
+				// The stale-hat empty is no published race: it must not
+				// appear with or without claiming.
+				if strings.Contains(msg, "reported empty") {
+					t.Errorf("claiming=%v %q: spurious empty pop: %v (trace %v)",
 						claiming, name, res.FirstError, res.FirstViolation)
 				}
 			}
@@ -192,8 +295,7 @@ func containsHeapProblem(msg string) bool {
 // published (non-claiming) algorithm exhibits its historical races at this
 // preemption bound.
 func TestClaimingDequeExactUnderExploration(t *testing.T) {
-	for name, s := range snarkScenarios(true) {
-		res := RunDFS(s, 2, 4_000, 100_000)
+	for name, res := range snarkExplored()[true] {
 		if res.Violations != 0 {
 			t.Errorf("claiming deque %q: %d anomalies, first: %v (trace %v)",
 				name, res.Violations, res.FirstError, res.FirstViolation)
@@ -201,8 +303,7 @@ func TestClaimingDequeExactUnderExploration(t *testing.T) {
 	}
 
 	totalRuns, totalViolations := 0, 0
-	for name, s := range snarkScenarios(false) {
-		res := RunDFS(s, 2, 4_000, 100_000)
+	for name, res := range snarkExplored()[false] {
 		totalRuns += res.Runs
 		totalViolations += res.Violations
 		if res.Violations > 0 {

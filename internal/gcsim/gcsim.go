@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"lfrc/internal/dcas"
-	"lfrc/internal/gctrace"
 	"lfrc/internal/mem"
 )
 
@@ -31,17 +30,16 @@ type World struct {
 	H *mem.Heap
 	E dcas.Engine
 
-	gc *gctrace.Collector
-	mu sync.RWMutex
+	mu sync.RWMutex // the stop-the-world barrier
 
-	pauses     []time.Duration
-	collected  int
-	collection sync.Mutex // serializes Collect bookkeeping
+	book   sync.Mutex // guards roots and pauses
+	roots  map[mem.Ref]int
+	pauses []time.Duration
 }
 
 // NewWorld builds a world over the given heap and engine.
 func NewWorld(h *mem.Heap, e dcas.Engine) *World {
-	return &World{H: h, E: e, gc: gctrace.New(h)}
+	return &World{H: h, E: e, roots: make(map[mem.Ref]int)}
 }
 
 // Mutate runs one mutator operation under the world's read-side of the
@@ -52,30 +50,86 @@ func (w *World) Mutate(f func()) {
 	w.mu.RUnlock()
 }
 
-// AddRoot registers a root with the collector.
-func (w *World) AddRoot(r mem.Ref) { w.gc.AddRoot(r) }
+// AddRoot registers a root with the collector; each AddRoot needs a
+// matching RemoveRoot.
+func (w *World) AddRoot(r mem.Ref) {
+	w.book.Lock()
+	w.roots[r]++
+	w.book.Unlock()
+}
 
 // RemoveRoot unregisters a root.
-func (w *World) RemoveRoot(r mem.Ref) { w.gc.RemoveRoot(r) }
+func (w *World) RemoveRoot(r mem.Ref) {
+	w.book.Lock()
+	if w.roots[r]--; w.roots[r] <= 0 {
+		delete(w.roots, r)
+	}
+	w.book.Unlock()
+}
+
+// Result describes one collection.
+type Result struct {
+	// Marked counts the objects reachable from the roots; Freed the
+	// unreachable ones reclaimed.
+	Marked, Freed int
+}
 
 // Collect stops the world and runs one tracing collection.
-func (w *World) Collect() gctrace.Result {
+func (w *World) Collect() Result {
 	start := time.Now()
 	w.mu.Lock()
-	res := w.gc.Collect()
+	w.book.Lock()
+	defer w.book.Unlock()
+	res := w.markSweep()
 	w.mu.Unlock()
-
-	w.collection.Lock()
 	w.pauses = append(w.pauses, time.Since(start))
-	w.collected += res.Freed
-	w.collection.Unlock()
+	return res
+}
+
+// markSweep marks every object reachable from the roots through the
+// declared pointer fields and frees every other live block. These objects
+// carry no reference counts, so unlike the census's backup collector there
+// is no limbo to spare and no survivor count to fix up. Callers hold both
+// the barrier and w.book.
+func (w *World) markSweep() Result {
+	h := w.H
+	marked := make(map[mem.Ref]bool)
+	var stack []mem.Ref
+	for r := range w.roots {
+		if !h.IsFreed(r) {
+			marked[r] = true
+			stack = append(stack, r)
+		}
+	}
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		d, err := h.Type(h.TypeOf(p))
+		if err != nil {
+			continue
+		}
+		for _, f := range d.PtrFields {
+			t := mem.Ref(h.Load(h.FieldAddr(p, f)))
+			if t != 0 && !marked[t] && !h.IsFreed(t) {
+				marked[t] = true
+				stack = append(stack, t)
+			}
+		}
+	}
+	res := Result{Marked: len(marked)}
+	h.WalkBlocks(func(b mem.Block) bool {
+		if !b.Freed && !marked[b.Ref] && h.Free(b.Ref) == nil {
+			res.Freed++
+		}
+		return true
+	})
 	return res
 }
 
 // Pauses returns the stop-the-world pause durations so far.
 func (w *World) Pauses() []time.Duration {
-	w.collection.Lock()
-	defer w.collection.Unlock()
+	w.book.Lock()
+	defer w.book.Unlock()
 	return append([]time.Duration(nil), w.pauses...)
 }
 

@@ -256,3 +256,34 @@ func TestConcurrentMutatorsWithPeriodicSTW(t *testing.T) {
 		t.Errorf("LiveObjects = %d, want 0", got)
 	}
 }
+
+// TestRootRegistrationCounts: a root registered twice survives one
+// RemoveRoot and is collected after the last.
+func TestRootRegistrationCounts(t *testing.T) {
+	w, ts := newWorld(t)
+	a := w.H.MustAlloc(ts.SNode)
+	w.AddRoot(a)
+	w.AddRoot(a)
+	w.RemoveRoot(a)
+	if res := w.Collect(); res.Freed != 0 || res.Marked != 1 {
+		t.Errorf("Collect with a live root = %+v, want 1 marked, 0 freed", res)
+	}
+	w.RemoveRoot(a)
+	if res := w.Collect(); res.Freed != 1 {
+		t.Errorf("Freed = %d after the last RemoveRoot, want 1", res.Freed)
+	}
+}
+
+// TestCollectReclaimsCycles: the tracer needs no counts, so the cycles the
+// original deque's self-pointer sentinels strand are ordinary garbage to it.
+func TestCollectReclaimsCycles(t *testing.T) {
+	w, ts := newWorld(t)
+	a, b := w.H.MustAlloc(ts.SNode), w.H.MustAlloc(ts.SNode)
+	w.H.Store(w.H.FieldAddr(a, fR), uint64(b))
+	w.H.Store(w.H.FieldAddr(b, fL), uint64(a))
+	self := w.H.MustAlloc(ts.SNode)
+	w.H.Store(w.H.FieldAddr(self, fL), uint64(self))
+	if res := w.Collect(); res.Freed != 3 || w.H.Stats().LiveObjects != 0 {
+		t.Errorf("Collect = %+v, live %d; want all 3 freed", res, w.H.Stats().LiveObjects)
+	}
+}

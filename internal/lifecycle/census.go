@@ -84,13 +84,13 @@ func TakeCensus(h *mem.Heap, led *Ledger) Census {
 		TS:    now,
 		ByRC:  make(map[string]int64),
 	}
-	h.Walk(func(r mem.Ref, freed bool) bool {
-		if freed {
+	h.WalkBlocks(func(b mem.Block) bool {
+		if b.Freed {
 			c.FreedSlots++
 			return true
 		}
 		c.LiveObjects++
-		c.ByRC[rcBucket(h.Load(h.RCAddr(r)))]++
+		c.ByRC[rcBucket(h.Load(h.RCAddr(b.Ref)))]++
 		return true
 	})
 	if led == nil {

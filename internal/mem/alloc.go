@@ -160,17 +160,47 @@ func (h *Heap) Free(r Ref) error {
 // checkPoison verifies a recycled slot's poison words and repairs any damage
 // so corruption is counted once, not compounded.
 func (h *Heap) checkPoison(r Ref, size int, st *statStripe) {
-	damaged := false
-	if h.Load(h.RCAddr(r)) != Poison {
-		damaged = true
-	}
-	for a := r + HeaderWords; a < r+Addr(size); a++ {
-		if h.Load(a) != Poison {
-			damaged = true
-		}
-	}
-	if damaged {
+	if h.firstDamage(r, size) != 0 {
 		st.corruptions.Add(1)
 		h.obs.CapturePostmortem("poison corruption on recycled slot", uint32(r))
 	}
+}
+
+// firstDamage returns the offset from r of the first freed-slot cell whose
+// poison pattern was overwritten (1 is the count cell), or 0 when the
+// pattern is intact. The aux cell carries the free-list link and is exempt.
+func (h *Heap) firstDamage(r Ref, size int) int {
+	if h.Load(h.RCAddr(r)) != Poison {
+		return 1
+	}
+	for off := HeaderWords; off < size; off++ {
+		if h.Load(r+Addr(off)) != Poison {
+			return off
+		}
+	}
+	return 0
+}
+
+// Damage is one freed slot whose poison pattern was overwritten — evidence
+// that some thread wrote to freed memory. Offset is the first damaged cell's
+// offset from the slot base (1 = the count cell).
+type Damage struct {
+	Ref    Ref
+	Offset int
+}
+
+// ScanPoison checks the poison pattern of every freed slot, returning one
+// Damage per overwritten slot. Unlike the recycle-time check it finds damage
+// in slots not yet reused. The heap must be quiescent.
+func (h *Heap) ScanPoison() []Damage {
+	var out []Damage
+	h.WalkBlocks(func(b Block) bool {
+		if b.Freed {
+			if off := h.firstDamage(b.Ref, b.Size); off != 0 {
+				out = append(out, Damage{Ref: b.Ref, Offset: off})
+			}
+		}
+		return true
+	})
+	return out
 }

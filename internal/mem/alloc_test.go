@@ -271,22 +271,22 @@ func TestWalkVisitsEveryObject(t *testing.T) {
 			want[r] = true
 		}
 	}
-	// Reallocate some freed slots so Walk sees recycled objects too.
+	// Reallocate some freed slots so WalkBlocks sees recycled objects too.
 	for i := 0; i < 20; i++ {
 		r := h.MustAlloc(node)
 		want[r] = false
 	}
 
 	got := map[Ref]bool{}
-	h.Walk(func(r Ref, freed bool) bool {
-		if _, dup := got[r]; dup {
-			t.Fatalf("Walk visited %d twice", r)
+	h.WalkBlocks(func(b Block) bool {
+		if _, dup := got[b.Ref]; dup {
+			t.Fatalf("WalkBlocks visited %d twice", b.Ref)
 		}
-		got[r] = freed
+		got[b.Ref] = b.Freed
 		return true
 	})
 	if len(got) != len(want) {
-		t.Fatalf("Walk visited %d slots, want %d", len(got), len(want))
+		t.Fatalf("WalkBlocks visited %d slots, want %d", len(got), len(want))
 	}
 	for r, freed := range want {
 		if got[r] != freed {
@@ -302,12 +302,12 @@ func TestWalkEarlyStop(t *testing.T) {
 		h.MustAlloc(leaf)
 	}
 	n := 0
-	h.Walk(func(Ref, bool) bool {
+	h.WalkBlocks(func(Block) bool {
 		n++
 		return n < 3
 	})
 	if n != 3 {
-		t.Errorf("Walk visited %d slots after early stop, want 3", n)
+		t.Errorf("WalkBlocks visited %d slots after early stop, want 3", n)
 	}
 }
 
@@ -322,11 +322,11 @@ func TestWalkAcrossSegments(t *testing.T) {
 		n++
 	}
 	visited := 0
-	h.Walk(func(Ref, bool) bool {
+	h.WalkBlocks(func(Block) bool {
 		visited++
 		return true
 	})
 	if visited != n {
-		t.Errorf("Walk visited %d objects across segments, want %d", visited, n)
+		t.Errorf("WalkBlocks visited %d objects across segments, want %d", visited, n)
 	}
 }

@@ -62,6 +62,9 @@ type Heap struct {
 	stats     []statStripe
 	highWater atomic.Int64
 
+	// sink absorbs accesses to unmapped addresses (see wildCell).
+	sink uint64
+
 	// epoch is the reclamation epoch: a coarse logical clock advanced by
 	// the lifecycle auditor (one tick per audit pass). Alloc and Free
 	// stamp their flight events with it so a timeline shows *when*, in
@@ -175,14 +178,36 @@ func (h *Heap) ensureSegment(i uint32) *segment {
 	return h.segs[i].Load()
 }
 
-// cell returns the storage cell for address a. The address must lie within
-// the allocated arena.
+// cell returns the storage cell for address a. An address outside the
+// segment table or in an unmapped segment is a wild pointer — a stomped link
+// followed by a corrupted count, as E1's naive load produces — and is routed
+// to wildCell instead of faulting the process.
 func (h *Heap) cell(a Addr) *uint64 {
-	seg := h.segs[uint32(a)>>segBits].Load()
-	if seg == nil {
-		panic(fmt.Sprintf("mem: access to unmapped address %#x", a))
+	if i := uint32(a) >> segBits; i < maxSegs {
+		if seg := h.segs[i].Load(); seg != nil {
+			return &seg[uint32(a)&segMask]
+		}
 	}
-	return &seg[uint32(a)&segMask]
+	return h.wildCell(a)
+}
+
+// wildCell counts an access to an unmapped address as heap corruption,
+// captures a postmortem naming it, and hands back the heap's sink cell so
+// the access completes harmlessly. The sink holds no object: whatever a
+// wild access stores there, no live cell changes.
+//
+//go:noinline
+func (h *Heap) wildCell(a Addr) *uint64 {
+	h.NoteWild(a)
+	return &h.sink
+}
+
+// NoteWild counts a wild address — unmapped, or a link naming no carved arena
+// word — as heap corruption, capturing a postmortem. Reclamation calls it
+// instead of following such a link.
+func (h *Heap) NoteWild(a Addr) {
+	h.stats[h.shardIndex()].corruptions.Add(1)
+	h.obs.CapturePostmortem("wild address", uint32(a))
 }
 
 // Load atomically reads the cell at a.
@@ -273,31 +298,6 @@ func (h *Heap) InArena(a Addr) bool {
 	return a >= firstAddr && uint64(a) < h.next.Load()
 }
 
-// Walk visits every object slot ever carved from the arena, live or freed,
-// in address order, until fn returns false. The heap must be quiescent (no
-// concurrent allocation) for the traversal to be coherent; it exists for the
-// stop-the-world tracing collector and the invariant auditors.
-//
-// Words below the global cursor that hold no object — unfilled shard-chunk
-// tails, remainders abandoned on refill, slivers skipped at segment
-// boundaries — were never written and still read zero, whose size field is
-// invalid; Walk steps over them word by word.
-func (h *Heap) Walk(fn func(r Ref, freed bool) bool) {
-	end := h.next.Load()
-	for a := uint64(firstAddr); a < end; {
-		hdr := h.Load(Addr(a))
-		size := headerSize(hdr)
-		if size < HeaderWords || size > maxObjWords {
-			a++
-			continue
-		}
-		if !fn(Ref(a), headerFreed(hdr)) {
-			return
-		}
-		a += uint64(size)
-	}
-}
-
 // Block is one object slot as decoded from a single atomic header read. All
 // fields describe the same instant: a block observed live here cannot have
 // been half-freed between separate TypeOf/IsFreed calls, which matters to
@@ -311,10 +311,14 @@ type Block struct {
 }
 
 // WalkBlocks visits every object slot ever carved from the arena, live or
-// freed, in address order, until fn returns false. Unlike Walk it decodes the
-// whole header once per slot and hands the caller a self-consistent Block.
-// It tolerates concurrent mutation the same way Walk does: each header is one
-// atomic load, and non-object words below the cursor are stepped over.
+// freed, in address order, until fn returns false. It decodes the whole
+// header once per slot and hands the caller a self-consistent Block. It
+// tolerates concurrent mutation: each header is one atomic load. Words below
+// the global cursor that hold no object — unfilled shard-chunk tails,
+// remainders abandoned on refill, slivers skipped at segment boundaries —
+// were never written and still read zero, whose size field is invalid;
+// WalkBlocks steps over them word by word. Exact answers (the census at
+// quiescence, ScanPoison) need a quiescent heap.
 func (h *Heap) WalkBlocks(fn func(b Block) bool) {
 	end := h.next.Load()
 	for a := uint64(firstAddr); a < end; {

@@ -227,3 +227,77 @@ func TestInArena(t *testing.T) {
 		t.Error("uncarved address reported in arena")
 	}
 }
+
+func TestScanPoisonCleanHeap(t *testing.T) {
+	h := testHeap(t)
+	node, _ := registerPair(t, h)
+	a := h.MustAlloc(node)
+	h.MustAlloc(node)
+	if err := h.Free(a); err != nil {
+		t.Fatal(err)
+	}
+	if ds := h.ScanPoison(); len(ds) != 0 {
+		t.Errorf("ScanPoison = %v, want none", ds)
+	}
+}
+
+func TestScanPoisonDetectsDamage(t *testing.T) {
+	tests := []struct {
+		name   string
+		damage func(h *Heap, a Ref)
+		offset int
+	}{
+		{
+			name:   "rc cell",
+			damage: func(h *Heap, a Ref) { h.Store(h.RCAddr(a), Poison+1) },
+			offset: 1,
+		},
+		{
+			name:   "payload cell",
+			damage: func(h *Heap, a Ref) { h.Store(h.FieldAddr(a, 1), 0) },
+			offset: HeaderWords + 1,
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			h := testHeap(t)
+			node, _ := registerPair(t, h)
+			a := h.MustAlloc(node)
+			if err := h.Free(a); err != nil {
+				t.Fatal(err)
+			}
+			tt.damage(h, a)
+			ds := h.ScanPoison()
+			if len(ds) != 1 || ds[0] != (Damage{Ref: a, Offset: tt.offset}) {
+				t.Errorf("ScanPoison = %+v, want one damage at %#x offset %d", ds, a, tt.offset)
+			}
+			// The aux cell carries the free-list link and is exempt.
+			h.Store(h.AuxAddr(a), 12345)
+			if ds := h.ScanPoison(); len(ds) != 1 {
+				t.Errorf("aux write changed the scan: %+v", ds)
+			}
+		})
+	}
+}
+
+// TestWildAddressIsCountedCorruption: an access through a stomped link —
+// past the segment table, or into a segment never mapped — is counted as
+// corruption and absorbed by the sink cell instead of faulting, and never
+// lands on a real cell.
+func TestWildAddressIsCountedCorruption(t *testing.T) {
+	h := testHeap(t)
+	node, _ := registerPair(t, h)
+	r := h.MustAlloc(node)
+	for i, wild := range []Addr{Addr(Poison & 0xFFFF_FFFF), Addr(5 * segWords)} {
+		h.Store(wild, 7)
+		if !h.CAS(wild, h.Load(wild), 8) {
+			t.Errorf("%#x: CAS on the sink failed", wild)
+		}
+		if got := h.Stats().Corruptions; got != int64(3*(i+1)) {
+			t.Errorf("%#x: Corruptions = %d, want %d", wild, got, 3*(i+1))
+		}
+	}
+	if got := h.Load(h.RCAddr(r)); got != 1 {
+		t.Errorf("live object's count = %d after wild writes, want 1", got)
+	}
+}

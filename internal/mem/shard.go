@@ -162,7 +162,7 @@ func (h *Heap) stealFree(self int, size int) (Ref, bool) {
 
 // shardBump carves size words from the shard's bump chunk, claiming a fresh
 // slab from the global cursor when the chunk is exhausted. Chunk tails too
-// small for the request are abandoned (never written, skipped by Walk).
+// small for the request are abandoned (never written, skipped by WalkBlocks).
 func (h *Heap) shardBump(sh *allocShard, size int) (Ref, error) {
 	for {
 		ce := sh.chunk.Load()

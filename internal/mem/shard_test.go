@@ -176,17 +176,17 @@ func TestContentionShardedAllocFree(t *testing.T) {
 			listed, as.GlobalFreeListed, listed+as.GlobalFreeListed, want)
 	}
 
-	// Walk must still see every carved slot exactly once, all freed now.
+	// WalkBlocks must still see every carved slot exactly once, all freed.
 	var walked int64
-	h.Walk(func(r Ref, freed bool) bool {
-		if !freed {
-			t.Errorf("Walk found live object %#x after everything was freed", r)
+	h.WalkBlocks(func(b Block) bool {
+		if !b.Freed {
+			t.Errorf("WalkBlocks found live object %#x after everything was freed", b.Ref)
 			return false
 		}
 		walked++
 		return true
 	})
 	if want := st.Allocs - st.Recycles; walked != want {
-		t.Errorf("Walk visited %d slots, want %d (Allocs - Recycles)", walked, want)
+		t.Errorf("WalkBlocks visited %d slots, want %d (Allocs - Recycles)", walked, want)
 	}
 }

@@ -42,7 +42,8 @@ type Stats struct {
 	DoubleFrees int64
 
 	// Corruptions counts recycled slots whose poison pattern had been
-	// overwritten — evidence that some thread wrote to freed memory.
+	// overwritten — evidence that some thread wrote to freed memory — and
+	// accesses through wild addresses (see NoteWild).
 	Corruptions int64
 
 	// AllocFailures counts Allocs that returned ErrOutOfMemory.

@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"sort"
+	"testing"
+)
 
 // TestWalkBlocksReportsTypedBlocks: WalkBlocks is the census's heap iterator;
 // each live block must surface with its ref, type, size and generation, and
@@ -74,12 +77,14 @@ func TestWalkBlocksEarlyStop(t *testing.T) {
 	}
 }
 
-// TestWalkBlocksAgreesWithWalk: the block walk and the ref walk must see the
-// same slots in the same order.
-func TestWalkBlocksAgreesWithWalk(t *testing.T) {
-	h := NewHeap()
+// TestWalkBlocksVisitsInAddressOrder: the walk must see exactly the carved
+// slots, live and freed, in ascending address order.
+func TestWalkBlocksVisitsInAddressOrder(t *testing.T) {
+	h := NewHeap(WithAllocShards(1))
 	a := h.MustRegisterType(TypeDesc{Name: "a", NumFields: 2})
 	b := h.MustRegisterType(TypeDesc{Name: "b", NumFields: 7})
+	seen := map[Ref]bool{}
+	var carved []Ref
 	for i := 0; i < 16; i++ {
 		tid := a
 		if i%3 == 0 {
@@ -89,28 +94,28 @@ func TestWalkBlocksAgreesWithWalk(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Alloc: %v", err)
 		}
+		if !seen[r] { // a freed slot is recycled, not carved again
+			seen[r] = true
+			carved = append(carved, r)
+		}
 		if i%5 == 0 {
 			if err := h.Free(r); err != nil {
 				t.Fatalf("Free: %v", err)
 			}
 		}
 	}
-	var fromWalk []Ref
-	h.Walk(func(r Ref, freed bool) bool {
-		fromWalk = append(fromWalk, r)
-		return true
-	})
-	var fromBlocks []Ref
+	sort.Slice(carved, func(i, j int) bool { return carved[i] < carved[j] })
+	var walked []Ref
 	h.WalkBlocks(func(blk Block) bool {
-		fromBlocks = append(fromBlocks, blk.Ref)
+		walked = append(walked, blk.Ref)
 		return true
 	})
-	if len(fromWalk) != len(fromBlocks) {
-		t.Fatalf("Walk saw %d slots, WalkBlocks %d", len(fromWalk), len(fromBlocks))
+	if len(walked) != len(carved) {
+		t.Fatalf("WalkBlocks saw %d slots, %d were carved", len(walked), len(carved))
 	}
-	for i := range fromWalk {
-		if fromWalk[i] != fromBlocks[i] {
-			t.Errorf("slot %d: Walk=%d WalkBlocks=%d", i, fromWalk[i], fromBlocks[i])
+	for i := range walked {
+		if walked[i] != carved[i] {
+			t.Errorf("slot %d: WalkBlocks=%d, carved=%d", i, walked[i], carved[i])
 		}
 	}
 }

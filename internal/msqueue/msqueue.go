@@ -113,8 +113,7 @@ func New(rc *core.RC, ts Types) (*Queue, error) {
 }
 
 // Anchor returns the queue's anchor object, suitable for registering as a
-// root with the tracing backup collector (package gctrace). It is 0 after
-// Close.
+// census root (see census.Collect). It is 0 after Close.
 func (q *Queue) Anchor() mem.Ref { return q.anchor }
 
 func (q *Queue) nextA(n mem.Ref) mem.Addr { return q.h.FieldAddr(n, fNext) }

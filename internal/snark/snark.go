@@ -26,6 +26,14 @@
 // that no value can be returned twice, which is what the stress tests assert
 // exact semantics against. Memory safety — the LFRC contribution — holds in
 // both variants.
+//
+// A third race sits in the pops as reconstructed here, and it needs no
+// near-empty deque: a pop that loaded its hat h, was preempted while the
+// other end popped h (writing the sentinel into h's outward link), then read
+// that sentinel reported empty on a deque of any size. LFRC keeps h alive,
+// so memory stays sound; the bug is purely linearizability, and value
+// claiming cannot catch it because the empty check precedes any claim. Both
+// pops therefore confirm an empty verdict by re-reading the hat.
 package snark
 
 import (
@@ -114,7 +122,7 @@ type Option func(*Deque)
 // WithCyclicSentinels restores the original Snark sentinel convention —
 // self-pointers instead of null — deliberately violating the methodology's
 // Step 3 so that popped sentinel nodes form one-node garbage cycles and
-// leak. Used by experiment E7 and the gctrace backup-collector tests.
+// leak. Used by experiments E7 and E8 and the backup-collector tests.
 func WithCyclicSentinels() Option {
 	return func(d *Deque) { d.cyclic = true }
 }
@@ -196,8 +204,7 @@ func New(rc *core.RC, ts Types, opts ...Option) (*Deque, error) {
 }
 
 // Anchor returns the deque's anchor object, suitable for registering as a
-// root with the tracing backup collector (package gctrace). It is 0 after
-// Close.
+// census root (see census.Collect). It is 0 after Close.
 func (d *Deque) Anchor() mem.Ref { return d.anchor }
 
 // fieldL, fieldR and fieldV compute node cell addresses.
@@ -349,7 +356,9 @@ func (d *Deque) PushLeft(v Value) error {
 // deque is observed empty. The structure follows the DISC 2000 popRight with
 // the LFRC transformation applied: the one-node case swings both hats back
 // to Dummy with a single DCAS, the general case swings RightHat left while
-// marking the popped node as a sentinel.
+// marking the popped node as a sentinel. An empty verdict is confirmed by
+// re-reading RightHat (see hatMoved); without that check a stale hat can
+// report empty on a deque of any size (see the package comment).
 func (d *Deque) PopRight() (v Value, ok bool) {
 	var rh, lh, rhR, rhL mem.Ref
 	t0 := d.obs.Sample()
@@ -358,6 +367,9 @@ func (d *Deque) PopRight() (v Value, ok bool) {
 		d.rc.Load(d.leftA, &lh)
 		d.rc.Load(d.fieldR(rh), &rhR)
 		if d.isSentinel(rhR, rh) { // hat rests on a sentinel: empty
+			if d.hatMoved(d.rightA, rh) {
+				continue
+			}
 			d.obs.Record(t0, obs.KindPopRight, 0, 0, false, retries)
 			d.rc.Destroy(rh, lh, rhR, rhL)
 			return 0, false
@@ -409,6 +421,9 @@ func (d *Deque) PopLeft() (v Value, ok bool) {
 		d.rc.Load(d.rightA, &rh)
 		d.rc.Load(d.fieldL(lh), &lhL)
 		if d.isSentinel(lhL, lh) {
+			if d.hatMoved(d.leftA, lh) {
+				continue
+			}
 			d.obs.Record(t0, obs.KindPopLeft, 0, 0, false, retries)
 			d.rc.Destroy(lh, rh, lhL, lhR)
 			return 0, false
@@ -447,6 +462,17 @@ func (d *Deque) PopLeft() (v Value, ok bool) {
 			d.attFail(obs.KindPopLeft, d.leftA, contend.RoleLeftHat, d.fieldR(lh), contend.RoleNodeLink, lh, lhR)
 		}
 	}
+}
+
+// hatMoved re-reads the hat at a (decoded through the RC strategy's link
+// codec, since split packs a weight stash beside the ref) and reports
+// whether it no longer names h. A pop that found h's outward link to be a
+// sentinel may report empty only if h is still the hat: otherwise the other
+// end may have popped h — writing the sentinel — while the deque still held
+// values, and the empty verdict is stale. Only the empty path pays for it.
+func (d *Deque) hatMoved(a mem.Addr, h mem.Ref) bool {
+	cur, _ := d.rc.DecodeLink(d.rc.WordLoad(a))
+	return cur != h
 }
 
 // takeValue reads a popped node's payload. Without claiming it simply reads

@@ -433,3 +433,76 @@ func TestMultipleDequesShareHeap(t *testing.T) {
 		})
 	}
 }
+
+// TestPopDoesNotReportEmptyFromStaleHat is the one-preemption stale-hat
+// race, made deterministic: a pop loads its hat h (the outermost of three
+// values) and, before reading h's outward link, the other end pushes one
+// value and pops the three originals — h last, which writes the sentinel
+// into h's link. The pop must not report empty: the deque still holds the
+// pushed value. Claiming cannot help, since the empty check precedes any
+// claim; both strategies and both engines are covered.
+func TestPopDoesNotReportEmptyFromStaleHat(t *testing.T) {
+	strategies := map[string]core.StrategyKind{"figure2": core.StrategyFigure2, "split": core.StrategySplit}
+	engines := map[string]func(h *mem.Heap) dcas.Engine{
+		"locking": func(h *mem.Heap) dcas.Engine { return dcas.NewLocking(h) },
+		"mcas":    func(h *mem.Heap) dcas.Engine { return dcas.NewMCAS(h) },
+	}
+	for sname, sk := range strategies {
+		for ename, mk := range engines {
+			for _, popLeft := range []bool{true, false} {
+				name := sname + "/" + ename + "/PopRight"
+				if popLeft {
+					name = sname + "/" + ename + "/PopLeft"
+				}
+				t.Run(name, func(t *testing.T) {
+					h := mem.NewHeap()
+					rc := core.New(h, mk(h), core.WithStrategyKind(sk))
+					d, err := New(rc, MustRegisterTypes(h), WithValueClaiming())
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer d.Close()
+					for v := Value(1); v <= 3; v++ {
+						if err := d.PushRight(v); err != nil {
+							t.Fatal(err)
+						}
+					}
+					// The pop's second load is the far hat; the first has
+					// already fixed h. Fire the other end's burst there.
+					loads, fired := 0, false
+					rc.LoadHook = func(mem.Ref) {
+						if loads++; loads != 2 || fired {
+							return
+						}
+						fired = true
+						if popLeft {
+							_ = d.PushLeft(4)
+							d.PopRight()
+							d.PopRight()
+							d.PopRight()
+						} else {
+							_ = d.PushRight(4)
+							d.PopLeft()
+							d.PopLeft()
+							d.PopLeft()
+						}
+					}
+					var v Value
+					var ok bool
+					if popLeft {
+						v, ok = d.PopLeft()
+					} else {
+						v, ok = d.PopRight()
+					}
+					rc.LoadHook = nil
+					if !fired {
+						t.Fatal("hook did not fire")
+					}
+					if !ok || v != 4 {
+						t.Errorf("pop = (%d, %v) with 4 present, want (4, true)", v, ok)
+					}
+				})
+			}
+		}
+	}
+}

@@ -88,8 +88,7 @@ func New(rc *core.RC, ts Types) (*Stack, error) {
 }
 
 // Anchor returns the stack's anchor object, suitable for registering as a
-// root with the tracing backup collector (package gctrace). It is 0 after
-// Close.
+// census root (see census.Collect). It is 0 after Close.
 func (s *Stack) Anchor() mem.Ref { return s.anchor }
 
 func (s *Stack) nextA(n mem.Ref) mem.Addr { return s.h.FieldAddr(n, fNext) }

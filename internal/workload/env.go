@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 
+	"lfrc/internal/census"
 	"lfrc/internal/core"
 	"lfrc/internal/dcas"
 	"lfrc/internal/mem"
@@ -77,6 +78,21 @@ func NewEnv(kind EngineKind, rcOpts ...core.Option) *Env {
 			PtrFields: []int{0},
 		}),
 	}
+}
+
+// CensusConfig describes a census of this environment's heap whose roots
+// are the given structure anchors, each held by one external handle. Take
+// it for a quiescent audit (census.Take) or a backup collection
+// (census.Collect).
+func (e *Env) CensusConfig(anchors ...mem.Ref) census.Config {
+	roots := make(map[uint32]census.Root, len(anchors))
+	for _, a := range anchors {
+		r := roots[uint32(a)]
+		r.Ref, r.Name = uint32(a), "anchor"
+		r.Count++
+		roots[uint32(a)] = r
+	}
+	return census.Config{Heap: e.Heap, Read: e.RC.SnapshotRead, Decode: e.RC.DecodeLink, Roots: roots}
 }
 
 // NewDeque builds an LFRC Snark deque in this environment.

@@ -5,9 +5,9 @@ import (
 	"math/rand"
 	"time"
 
+	"lfrc/internal/census"
 	"lfrc/internal/core"
 	"lfrc/internal/gcdep"
-	"lfrc/internal/gctrace"
 	"lfrc/internal/mem"
 	"lfrc/internal/snark"
 )
@@ -81,9 +81,7 @@ func RunE8(kind EngineKind, scale Scale) *Table {
 		t.Notes = append(t.Notes, "setup failed: "+err.Error())
 		return t
 	}
-	gc := gctrace.New(env.Heap)
-	gc.SetDecoder(env.RC.DecodeLink)
-	gc.AddRoot(d.Anchor())
+	gc := env.CensusConfig(d.Anchor())
 
 	for i := 0; i < n; i++ {
 		_ = d.PushRight(uint64(i + 1))
@@ -93,10 +91,10 @@ func RunE8(kind EngineKind, scale Scale) *Table {
 	}
 	t.AddRow("after churn (half popped)", env.Heap.Stats().LiveObjects, "-")
 
-	res := gc.Collect()
+	res := census.Collect(gc)
 	t.AddRow("after first trace", env.Heap.Stats().LiveObjects, res.Freed)
 
-	res2 := gc.Collect()
+	res2 := census.Collect(gc)
 	t.AddRow("after second trace", env.Heap.Stats().LiveObjects, res2.Freed)
 
 	// Verify the survivors are exactly the live elements.

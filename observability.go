@@ -10,8 +10,8 @@ import (
 // recorder, contention observatory, lifecycle ledger, invariant auditor —
 // in one struct option, mirroring WithTimeline/WithWatchdog. The zero value
 // changes nothing; each field only tightens the configuration, so multiple
-// WithObservability options (and the single-knob wrappers below) compose:
-// later options add to earlier ones rather than resetting them.
+// WithObservability options compose: later options add to earlier ones
+// rather than resetting them.
 type ObservabilityOptions struct {
 	// Observer installs the flight recorder at its default sampling (1 in
 	// 64 operations): a sampled, allocation-free, lock-free trace of LFRC
@@ -60,10 +60,8 @@ type ObservabilityOptions struct {
 	AuditEvery time.Duration
 }
 
-// WithObservability applies an ObservabilityOptions bundle. It is the
-// one-stop way to arm diagnosis layers; the historical single-knob options
-// (WithObserver, WithTraceSampling, WithContention, WithLifecycleLedger,
-// WithLifecycleAudit) survive as thin wrappers around it.
+// WithObservability applies an ObservabilityOptions bundle: the one way to
+// arm the diagnosis layers.
 func WithObservability(o ObservabilityOptions) Option {
 	return optionFunc(func(c *config) {
 		if o.Observer || o.SampleEvery != 0 || o.Contention || o.LifecycleEvery != 0 || o.AuditEvery != 0 {
@@ -93,60 +91,4 @@ func WithObservability(o ObservabilityOptions) Option {
 			c.auditEvery = iv
 		}
 	})
-}
-
-// WithObserver enables or disables the flight recorder (see
-// ObservabilityOptions.Observer). WithObserver(true) is shorthand for
-// WithObservability(ObservabilityOptions{Observer: true}); false is the one
-// spelling that can switch an already-requested recorder back off.
-func WithObserver(on bool) Option {
-	if on {
-		return WithObservability(ObservabilityOptions{Observer: true})
-	}
-	return optionFunc(func(c *config) { c.observer = false })
-}
-
-// WithTraceSampling sets the flight recorder's sampling interval to 1-in-n
-// operations and implies the recorder (see ObservabilityOptions.SampleEvery).
-// n == 1 records every operation; n == 0 installs the recorder with
-// recording disabled.
-func WithTraceSampling(n int) Option {
-	switch {
-	case n == 0:
-		n = -1 // struct encoding for installed-but-off
-	case n < 0:
-		n = 0 // historical behavior: nonsense input keeps the default
-	}
-	return WithObservability(ObservabilityOptions{SampleEvery: n})
-}
-
-// WithContention enables the DCAS contention observatory (see
-// ObservabilityOptions.Contention). WithContention(true) is shorthand for
-// WithObservability(ObservabilityOptions{Contention: true}); false switches
-// a previously requested observatory back off.
-func WithContention(on bool) Option {
-	if on {
-		return WithObservability(ObservabilityOptions{Contention: true})
-	}
-	return optionFunc(func(c *config) { c.contention = false })
-}
-
-// WithLifecycleLedger enables the per-object lifecycle ledger tracking
-// 1-in-n allocations (see ObservabilityOptions.LifecycleEvery). n == 1
-// tracks every object; n <= 0 installs the ledger with sampling off.
-func WithLifecycleLedger(n int) Option {
-	if n <= 0 {
-		n = -1
-	}
-	return WithObservability(ObservabilityOptions{LifecycleEvery: n})
-}
-
-// WithLifecycleAudit starts the online invariant auditor at the given
-// interval (see ObservabilityOptions.AuditEvery); an interval <= 0 means
-// the 100ms default.
-func WithLifecycleAudit(interval time.Duration) Option {
-	if interval <= 0 {
-		interval = -1
-	}
-	return WithObservability(ObservabilityOptions{AuditEvery: interval})
 }

@@ -12,7 +12,7 @@ import (
 // and asserts the flight recorder's postmortem names the damaged ref and
 // carries its trailing events.
 func TestCorruptionPostmortemNamesRef(t *testing.T) {
-	sys, err := New(WithTraceSampling(1), WithAllocShards(1))
+	sys, err := New(WithObservability(ObservabilityOptions{SampleEvery: 1}), WithAllocShards(1))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestCorruptionPostmortemNamesRef(t *testing.T) {
 // TestAuditViolationCapturesPostmortem corrupts a live object's reference
 // count and asserts Audit both reports it and leaves a postmortem naming it.
 func TestAuditViolationCapturesPostmortem(t *testing.T) {
-	sys, err := New(WithTraceSampling(1))
+	sys, err := New(WithObservability(ObservabilityOptions{SampleEvery: 1}))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

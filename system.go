@@ -3,18 +3,17 @@ package lfrc
 import (
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"lfrc/internal/census"
-	"lfrc/internal/check"
 	"lfrc/internal/contend"
 	"lfrc/internal/core"
 	"lfrc/internal/dcas"
 	"lfrc/internal/dlist"
 	"lfrc/internal/fault"
-	"lfrc/internal/gctrace"
 	"lfrc/internal/lifecycle"
 	"lfrc/internal/mem"
 	"lfrc/internal/msqueue"
@@ -126,18 +125,21 @@ func WithAllocShards(n int) Option {
 }
 
 // System bundles a manual heap, a DCAS engine, the LFRC operations, and the
-// backup tracing collector. All methods are safe for concurrent use unless
-// noted otherwise.
+// heap census that audits them and backs them with a tracing collector. All
+// methods are safe for concurrent use unless noted otherwise.
 type System struct {
-	heap      *mem.Heap
-	engine    dcas.Engine
-	rc        *core.RC
-	collector *gctrace.Collector
-	obs       *obs.Recorder  // nil unless WithObserver/WithTraceSampling
-	ct        *contend.Table // nil unless WithContention
+	heap   *mem.Heap
+	engine dcas.Engine
+	rc     *core.RC
+	obs    *obs.Recorder  // nil unless WithObservability arms the recorder
+	ct     *contend.Table // nil unless ObservabilityOptions.Contention
 
-	// ledger and auditor are nil unless WithLifecycleLedger /
-	// WithLifecycleAudit; every consumer below is nil-safe.
+	// roots holds every open structure's anchor: the root set the census,
+	// Audit and Collect read (see censusConfig).
+	roots rootSet
+
+	// ledger and auditor are nil unless ObservabilityOptions.LifecycleEvery
+	// or AuditEvery arms them; every consumer below is nil-safe.
 	ledger  *lifecycle.Ledger
 	auditor *lifecycle.Auditor
 
@@ -294,7 +296,6 @@ func New(opts ...Option) (*System, error) {
 		heap:        h,
 		engine:      e,
 		rc:          core.New(h, e, rcOpts...),
-		collector:   gctrace.New(h),
 		obs:         rec,
 		ct:          ct,
 		ledger:      led,
@@ -303,10 +304,6 @@ func New(opts ...Option) (*System, error) {
 		faultPlan:   cfg.faultPlan,
 		censusRoots: cfg.censusRoots,
 	}
-	// The backup collector walks pointer cells directly, so it must read
-	// them through the RC strategy's link codec (split packs a weight stash
-	// into the word; sweeping a dying link must return that stash).
-	s.collector.SetDecoder(s.rc.DecodeLink)
 	if led != nil {
 		var audOpts []lifecycle.AuditOption
 		if cfg.auditEvery > 0 {
@@ -354,10 +351,10 @@ func (p heapProbe) Freed(ref uint32) bool {
 func (p heapProbe) AdvanceEpoch() uint64 { return p.h.AdvanceEpoch() }
 
 // Close stops the system's background machinery (the lifecycle auditor
-// started by WithLifecycleAudit and the timeline sampler started by
-// WithTimeline). It is safe to call on any System, multiple times; the
-// system's data structures remain usable afterwards, and the timeline ring
-// stays readable.
+// started by ObservabilityOptions.AuditEvery and the timeline sampler
+// started by WithTimeline). It is safe to call on any System, multiple
+// times; the system's data structures remain usable afterwards, and the
+// timeline ring stays readable.
 func (s *System) Close() {
 	if s.auditor != nil {
 		s.auditor.Stop()
@@ -370,9 +367,10 @@ func (s *System) Close() {
 // captured postmortems.
 type Trace = obs.Trace
 
-// Trace dumps the flight recorder. Without WithObserver it returns a zero
-// Trace. The events are the newest survivors of fixed-size per-stripe rings;
-// use it for flight-recorder style postmortems, not exhaustive logs.
+// Trace dumps the flight recorder. Without one (see WithObservability) it
+// returns a zero Trace. The events are the newest survivors of fixed-size
+// per-stripe rings; use it for flight-recorder style postmortems, not
+// exhaustive logs.
 func (s *System) Trace() Trace { return s.obs.Trace() }
 
 // Postmortems returns the violation captures recorded so far: one entry per
@@ -383,12 +381,14 @@ func (s *System) Postmortems() []obs.Postmortem { return s.obs.Postmortems() }
 
 // ObjectTimeline is one sampled object's ledgered event chain: allocation,
 // every rc-manipulating touch with before/after counts and goroutine
-// attribution, zombie transit, and free. See WithLifecycleLedger. (The name
-// System.Timeline belongs to the telemetry timeline — see WithTimeline.)
+// attribution, zombie transit, and free. See
+// ObservabilityOptions.LifecycleEvery. (The name System.Timeline belongs to
+// the telemetry timeline — see WithTimeline.)
 type ObjectTimeline = lifecycle.Timeline
 
 // Violation is one invariant breach flagged by the lifecycle auditor,
-// carrying the offending object's timeline. See WithLifecycleAudit.
+// carrying the offending object's timeline. See
+// ObservabilityOptions.AuditEvery.
 type Violation = lifecycle.Violation
 
 // Population is a point-in-time heap population report bucketed by reference
@@ -398,8 +398,8 @@ type Population = lifecycle.Census
 
 // ObjectTimeline returns the lifecycle timeline for ref — the live
 // incarnation if the object is still tracked, else its most recent completed
-// incarnation. Without WithLifecycleLedger (or for unsampled objects) it
-// reports false.
+// incarnation. Without a ledger (ObservabilityOptions.LifecycleEvery) or
+// for unsampled objects it reports false.
 func (s *System) ObjectTimeline(ref uint32) (ObjectTimeline, bool) { return s.ledger.Timeline(ref) }
 
 // Population walks the heap and reports its population bucketed by reference
@@ -410,9 +410,10 @@ func (s *System) ObjectTimeline(ref uint32) (ObjectTimeline, bool) { return s.le
 func (s *System) Population() Population { return lifecycle.TakeCensus(s.heap, s.ledger) }
 
 // AuditPass runs one lifecycle audit pass immediately and returns the
-// violations newly flagged by it. It requires WithLifecycleLedger (the
-// auditor exists whenever the ledger does; WithLifecycleAudit additionally
-// runs passes on a background interval) and returns nil without one.
+// violations newly flagged by it. It requires a lifecycle ledger
+// (ObservabilityOptions.LifecycleEvery; the auditor exists whenever the
+// ledger does, and AuditEvery additionally runs passes on a background
+// interval) and returns nil without one.
 func (s *System) AuditPass() []Violation {
 	if s.auditor == nil {
 		return nil
@@ -432,11 +433,11 @@ func (s *System) Violations() []Violation {
 
 // ContentionReport is the contention observatory's merged snapshot: every
 // (cell, op) accumulator ranked by wasted work, plus the decaying top-K
-// heatmap. See WithContention.
+// heatmap. See ObservabilityOptions.Contention.
 type ContentionReport = contend.Report
 
 // ContentionReport snapshots the contention observatory. Without
-// WithContention it returns an empty report.
+// ObservabilityOptions.Contention it returns an empty report.
 func (s *System) ContentionReport() ContentionReport { return s.ct.Snapshot() }
 
 // WriteContentionReport writes the human-readable contention report (the
@@ -485,9 +486,9 @@ func (s *System) Stats() Stats {
 		RCStrategy: s.rc.StrategyName(),
 		Heap:       HeapStats(s.heap.Stats()),
 		RC:         RCStats(s.rc.Stats()),
-		Alloc:   a,
-		Reclaim: ReclaimStats(s.rc.Reclaimer().Stats()),
-		Zombies: s.rc.ZombieCount(),
+		Alloc:      a,
+		Reclaim:    ReclaimStats(s.rc.Reclaimer().Stats()),
+		Zombies:    s.rc.ZombieCount(),
 	}
 	if s.ledger != nil {
 		st.Lifecycle = LifecycleStats{
@@ -551,7 +552,7 @@ type Stats struct {
 	Zombies int64 `json:"zombies"`
 
 	// Lifecycle is the diagnosis layer's accounting; zero unless the
-	// system was built WithLifecycleLedger / WithLifecycleAudit.
+	// system was built WithObservability (LifecycleEvery or AuditEvery).
 	Lifecycle LifecycleStats `json:"lifecycle"`
 
 	// Fault is the fault injector's accounting; zero unless the system was
@@ -660,11 +661,14 @@ func (s *System) DrainZombies(max int) int { return s.rc.DrainZombies(max) }
 func (s *System) ZombieCount() int64 { return s.rc.ZombieCount() }
 
 // Collect runs the stop-the-world backup tracing collector (paper §7) and
-// returns how many unreachable objects it reclaimed. Every structure created
-// from this System is automatically registered as a root until its Close.
-// The system must be quiescent: no operations may run concurrently.
+// returns how many unreachable objects it reclaimed. It frees the census's
+// unreachable class — cyclic garbage and what it pins — and nothing else:
+// reachable objects and deferred-reclamation limbo survive. Every structure
+// created from this System is a root until its Close, as are the
+// WithCensusRoots refs. The system must be quiescent: no operations may run
+// concurrently.
 func (s *System) Collect() CollectResult {
-	return CollectResult(s.collector.Collect())
+	return CollectResult(census.Collect(s.censusConfig()))
 }
 
 // CollectResult reports one backup-collection pass.
@@ -682,18 +686,23 @@ type CollectResult struct {
 }
 
 // Audit verifies, at quiescence, that every live object's reference count
-// equals the number of pointers to it (heap pointers plus one per open
-// structure handle). It returns human-readable violation descriptions; an
-// empty result means the counts are exact. The system must be quiescent.
-// When the flight recorder is enabled, each violation also captures a
-// postmortem (the trailing flight events touching the offending ref),
-// retrievable with Postmortems.
+// equals its weighted in-edges (heap pointers) plus one per root
+// registration (open structure handles, WithCensusRoots refs). It is the
+// census's mismatch set, uncapped, and a poisoned count on a live object is
+// a violation. It returns human-readable violation descriptions; an empty
+// result means the counts are exact. The system must be quiescent. When
+// the flight recorder is enabled, each violation also captures a postmortem
+// (the trailing flight events touching the offending ref), retrievable with
+// Postmortems.
 func (s *System) Audit() []string {
-	vs := check.AuditRCDecoded(s.heap, s.collector.Roots(), s.rc.DecodeLink)
-	out := make([]string, len(vs))
-	for i, v := range vs {
-		out[i] = v.String()
-		s.obs.CapturePostmortem("audit: "+v.String(), uint32(v.Ref))
+	cfg := s.censusConfig()
+	cfg.MaxMismatches = math.MaxInt
+	ms := census.Take(cfg).RCMismatches
+	out := make([]string, len(ms))
+	for i, m := range ms {
+		out[i] = fmt.Sprintf("rc violation at %#x (%s, %s): want %d, got %d",
+			m.Ref, m.Type, m.Class, m.Expected, m.Stored)
+		s.obs.CapturePostmortem("audit: "+out[i], m.Ref)
 	}
 	return out
 }

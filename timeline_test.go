@@ -21,8 +21,7 @@ func newTimelineSystem(t *testing.T, extra ...lfrc.Option) *lfrc.System {
 	t.Helper()
 	opts := append([]lfrc.Option{
 		lfrc.WithTimeline(lfrc.TimelineOptions{Manual: true}),
-		lfrc.WithTraceSampling(1),
-		lfrc.WithContention(true),
+		lfrc.WithObservability(lfrc.ObservabilityOptions{SampleEvery: 1, Contention: true}),
 		lfrc.WithReclamation(lfrc.ReclaimerEpoch),
 	}, extra...)
 	sys, err := lfrc.New(opts...)
